@@ -70,10 +70,13 @@ SERVED_SPEEDUP_FLOOR = 3.0
 #: The acceptance-criteria floor for concurrent push serving (PR 4).
 SERVE_THROUGHPUT_FLOOR = 3.0
 
-#: The acceptance-criteria floor for compiled join execution (PR 7): the
-#: codegen'd path must stay >= 1.5x over the interpreted planned walker on
-#: the largest P1 base of the sweep.
-COMPILED_SPEEDUP_FLOOR = 1.5
+#: The floor for compiled join execution: the codegen'd path must stay
+#: >= 2.9x over the naive dynamic-ordering reference on the largest P1
+#: base of the sweep.  That carries the original >= 1.5x floor over the
+#: (since deleted) interpreted planned walker across: BENCH_PR7.json
+#: measured naive at 1.94x the interpreted time at n=400, and
+#: 1.5 x 1.94 = 2.9.
+COMPILED_SPEEDUP_FLOOR = 2.9
 
 #: Replication (PR 8): followers must absorb the burst within this many
 #: seconds — an absolute ceiling, generous because CI machines are noisy
@@ -223,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         joins_fresh = json.loads(
             arguments.joins_fresh.read_text(encoding="utf-8")
         )
-        fresh_speedups = joins_fresh["p1"]["speedup_compiled_over_interpreted"]
+        fresh_speedups = joins_fresh["p1"]["speedup_compiled_over_naive"]
         largest = str(max(int(size) for size in fresh_speedups))
         floor_speedup = fresh_speedups[largest]
         verdict = (
@@ -236,21 +239,19 @@ def main(argv: list[str] | None = None) -> int:
         )
         if floor_speedup < COMPILED_SPEEDUP_FLOOR:
             failures.append("compiled speedup floor")
-        baseline_speedups = joins_baseline["p1"][
-            "speedup_compiled_over_interpreted"
-        ]
+        baseline_speedups = joins_baseline["p1"]["speedup_compiled_over_naive"]
         for size, ratio in baseline_speedups.items():
             fresh_ratio = fresh_speedups.get(size)
             if fresh_ratio is None:
                 continue  # the fresh run swept different sizes
             check_ratio(
-                failures, f"compiled over interpreted [n={size}]",
+                failures, f"compiled over naive [n={size}]",
                 fresh_ratio, ratio, arguments.tolerance,
             )
         check_ratio(
-            failures, "compiled over interpreted [wide join]",
-            joins_fresh["wide_join"]["speedup_compiled_over_interpreted"],
-            joins_baseline["wide_join"]["speedup_compiled_over_interpreted"],
+            failures, "compiled over naive [wide join]",
+            joins_fresh["wide_join"]["speedup_compiled_over_naive"],
+            joins_baseline["wide_join"]["speedup_compiled_over_naive"],
             arguments.tolerance,
         )
 

@@ -35,12 +35,12 @@ comparable across PRs (``benchmarks/run_bench.py`` is a thin wrapper):
   (concurrent subscribers on a unix socket, commit-to-push wall time,
   request round-trip latency).
 * **Joins sweep** (``--joins``, ``BENCH_PR7.json``) — the compiled
-  (codegen'd, set-at-a-time) execution path against the interpreted
-  planned walker and the naive dynamic-ordering reference.  Two
-  workloads: the P1 enterprise program over the standard size sweep, and
-  a wide-join synthetic (a four-way chain join plus an arithmetic
-  filter) whose cost is all in the join itself.  A differential check
-  asserts all three paths produce the same result base at every size.
+  (codegen'd, set-at-a-time) execution path against the naive
+  dynamic-ordering reference.  Two workloads: the P1 enterprise program
+  over the standard size sweep, and a wide-join synthetic (a four-way
+  chain join plus an arithmetic filter) whose cost is all in the join
+  itself.  A differential check asserts both paths produce the same
+  result base at every size.
 
 * **Cluster sweep** (``--cluster``, ``BENCH_PR10.json``) — the sharded
   deployment: one enterprise base hash-partitioned across 1/2/4/8 served
@@ -235,38 +235,25 @@ def run_joins_sweep(
     repeats: int = DEFAULT_REPEATS,
     wide_nodes: int = DEFAULT_WIDE_NODES,
 ) -> dict:
-    """Time compiled vs interpreted vs naive execution (see the module
-    docstring).
+    """Time compiled vs naive execution (see the module docstring).
 
-    *Compiled* is the codegen'd, set-at-a-time path (the default);
-    *interpreted* is the same join plans walked by the generic planned
-    matcher (``EvaluationOptions(compiled=False)``); *naive* is the
-    dynamic-ordering reference without plans or deltas.  All three engines
-    replay identical workloads; a differential check asserts equal result
-    bases before anything is timed.  Under ``REPRO_NO_CODEGEN`` the
-    compiled engine silently degrades to the interpreted path — the
-    document records ``codegen_enabled`` so that run is tellable-apart.
+    *Compiled* is the codegen'd, set-at-a-time path (the default); *naive*
+    is the dynamic-ordering reference without plans or deltas.  Both
+    engines replay identical workloads; a differential check asserts equal
+    result bases before anything is timed.
     """
-    from repro.core.codegen import codegen_enabled
     from repro.core.rules import UpdateProgram
     from repro.lang.parser import parse_program
 
     engines = (
         ("compiled", UpdateEngine()),
-        ("interpreted", UpdateEngine(compiled=False)),
         ("naive", UpdateEngine(semi_naive=False)),
     )
 
     def compare_and_time(program, base, label: str):
-        outcomes = {
-            mode: engine.apply(program, base) for mode, engine in engines
-        }
-        reference = outcomes["compiled"].result_base
-        for mode in ("interpreted", "naive"):
-            if outcomes[mode].result_base != reference:
-                raise AssertionError(
-                    f"compiled and {mode} results diverge on {label}"
-                )
+        compiled, naive = (engine.apply(program, base) for _, engine in engines)
+        if compiled.result_base != naive.result_base:
+            raise AssertionError(f"compiled and naive results diverge on {label}")
         return {
             mode: _time_apply(engine, program, base, repeats)
             for mode, engine in engines
@@ -274,16 +261,12 @@ def run_joins_sweep(
 
     program = enterprise_update_program(hpe_threshold=4000)
     p1_results = []
-    p1_over_interpreted = {}
     p1_over_naive = {}
     for size in sizes:
         base = enterprise_base(n_employees=size, overpaid_ratio=0.1, seed=21)
         timed = compare_and_time(program, base, f"P1 n={size}")
         for mode, entry in timed.items():
             p1_results.append({"n_employees": size, "mode": mode, **entry})
-        p1_over_interpreted[str(size)] = (
-            timed["interpreted"]["best_s"] / timed["compiled"]["best_s"]
-        )
         p1_over_naive[str(size)] = (
             timed["naive"]["best_s"] / timed["compiled"]["best_s"]
         )
@@ -300,12 +283,10 @@ def run_joins_sweep(
         "benchmark": "p7_joins_sweep",
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "codegen_enabled": codegen_enabled(),
         "sizes": list(sizes),
         "p1": {
             "program": "enterprise-update (rules 1-4, hpe threshold 4000)",
             "results": p1_results,
-            "speedup_compiled_over_interpreted": p1_over_interpreted,
             "speedup_compiled_over_naive": p1_over_naive,
         },
         "wide_join": {
@@ -315,10 +296,6 @@ def run_joins_sweep(
             "results": [
                 {"mode": mode, **entry} for mode, entry in wide_timed.items()
             ],
-            "speedup_compiled_over_interpreted": (
-                wide_timed["interpreted"]["best_s"]
-                / wide_timed["compiled"]["best_s"]
-            ),
             "speedup_compiled_over_naive": (
                 wide_timed["naive"]["best_s"] / wide_timed["compiled"]["best_s"]
             ),
@@ -1513,13 +1490,13 @@ def _p6_headline(document: dict) -> dict:
 
 
 def _p7_headline(document: dict) -> dict:
-    speedups = document["p1"]["speedup_compiled_over_interpreted"]
+    speedups = document["p1"]["speedup_compiled_over_naive"]
     largest = str(max(int(size) for size in speedups))
-    wide = document["wide_join"]["speedup_compiled_over_interpreted"]
+    wide = document["wide_join"]["speedup_compiled_over_naive"]
     return {
-        "speedup_compiled_over_interpreted": speedups,
-        "wide_join_speedup_compiled_over_interpreted": wide,
-        "headline": f"codegen {speedups[largest]:.2f}x over interpreted "
+        "speedup_compiled_over_naive": speedups,
+        "wide_join_speedup_compiled_over_naive": wide,
+        "headline": f"codegen {speedups[largest]:.2f}x over naive "
         f"(P1 n={largest}), {wide:.2f}x on the wide join",
     }
 
@@ -1736,7 +1713,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--joins", action="store_true",
-        help="run the compiled-vs-interpreted-vs-naive join-execution "
+        help="run the compiled-vs-naive join-execution "
         "sweep (P1 sizes plus a wide-join synthetic) instead of the "
         "P1 sweep",
     )
@@ -1821,13 +1798,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"mean {entry['mean_s'] * 1000:8.2f} ms"
             )
         for size in document["sizes"]:
-            interpreted = document["p1"][
-                "speedup_compiled_over_interpreted"][str(size)]
             naive = document["p1"]["speedup_compiled_over_naive"][str(size)]
-            print(
-                f"P1 n={size}: compiled {interpreted:.2f}x over "
-                f"interpreted, {naive:.2f}x over naive"
-            )
+            print(f"P1 n={size}: compiled {naive:.2f}x over naive")
         wide = document["wide_join"]
         for entry in wide["results"]:
             print(
@@ -1837,13 +1809,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         print(
             f"wide join: compiled "
-            f"{wide['speedup_compiled_over_interpreted']:.2f}x over "
-            f"interpreted, {wide['speedup_compiled_over_naive']:.2f}x "
-            f"over naive"
+            f"{wide['speedup_compiled_over_naive']:.2f}x over naive"
         )
-        if not document["codegen_enabled"]:
-            print("note: REPRO_NO_CODEGEN is set — 'compiled' degraded to "
-                  "the interpreted path in this run")
         print(f"wrote {out}")
         write_trajectory(".")
         return 0

@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_cmd.add_argument(
         "--joins", action="store_true",
-        help="run the compiled-vs-interpreted-vs-naive join-execution "
+        help="run the compiled-vs-naive join-execution "
         "sweep (P1 sizes plus a wide-join synthetic)",
     )
     bench_cmd.add_argument(

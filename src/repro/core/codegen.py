@@ -1,11 +1,10 @@
 """Plan compilation: specialized, set-at-a-time join closures per body.
 
-The planned matcher of :mod:`repro.core.grounding` already fixed the literal
-order and the access paths statically, but still *interprets* the plan tuple
-at a time: every candidate fact costs a ``dict(binding)`` copy in
-``_match_position``, an atom-kind dispatch, and a re-derivation of the access
-path the plan chose long ago.  This module removes that interpretive layer by
-generating one specialized Python function per :class:`~repro.core.plans.JoinPlan`:
+A :class:`~repro.core.plans.JoinPlan` fixes the literal order and the access
+paths of a rule body statically.  This module turns each plan into one
+generated Python function, the production executor of the rule matcher
+(:func:`repro.core.grounding.match_rule` / ``match_body``, the ``T_P``
+step and prepared queries all run it):
 
 * **slot-based bindings** — a partial match is a plain tuple whose layout
   (variable → slot index) is fixed at compile time; extending a match is
@@ -20,13 +19,14 @@ generating one specialized Python function per :class:`~repro.core.plans.JoinPla
   checks do not depend on the current row materializes its extension tuples
   **once** from the index bucket and extends every row with them
   (filter → extend), instead of re-scanning the bucket per row;
-* **dedup keys only when needed** — like the interpreter, duplicate
-  elimination over ``plan.key_vars`` is emitted only when
-  ``generator_count > 1``, and the key is an :func:`operator.itemgetter`
-  over precomputed slot indexes.
+* **dedup keys only when needed** — duplicate elimination over
+  ``plan.key_vars`` is emitted only when ``generator_count > 1`` (with at
+  most one generator two rows always differ in some bound variable), and
+  the key is an :func:`operator.itemgetter` over precomputed slot indexes.
 
-Semantics are pinned to the interpreted walker, which stays in place as the
-differential oracle (with the naive dynamic matcher below it):
+Semantics are pinned to the dynamic-ordering matcher
+(:func:`repro.core.grounding.match_rule_dynamic`), the reference oracle the
+property suites compare against:
 
 * version-term generators are *exact* (``PlanStep.verify`` is False) and are
   compiled to direct index loops;
@@ -41,23 +41,20 @@ differential oracle (with the naive dynamic matcher below it):
 
 Compilation failures are deliberately *not* swallowed: the emitter covers
 every shape :func:`repro.core.plans.compile_plan` can produce, and the test
-suite proves it.  Bodies the planner itself cannot order (``plan is None``)
-simply have no compiled form and callers fall back to the dynamic matcher.
-
-``REPRO_NO_CODEGEN=1`` disables the whole backend at run time (the
-interpreted planned matcher takes over, same results), and the compile
-caches are registered with :mod:`repro.core.caches` as ``codegen.rule`` /
-``codegen.body`` / ``codegen.backend``.
+suite proves it.  Bodies the planner itself cannot order (``plan is None``,
+i.e. unsafe bodies) simply have no compiled form and callers fall back to
+the dynamic matcher.  The compile caches are registered with
+:mod:`repro.core.caches` as ``codegen.rule`` / ``codegen.body`` /
+``codegen.backend``.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
+from repro.core.atoms import BuiltinAtom, Literal, VersionAtom
 from repro.core.caches import register_cache, register_lru_cache
 from repro.core.errors import BuiltinError, TermError
 from repro.core.exprs import BinOp, Neg, _numeric, expr_variables
@@ -72,15 +69,13 @@ from repro.core.plans import (
     seed_facts,
     var_sort_key,
 )
-from repro.core.terms import Oid, Var, VersionId, VersionVar, is_ground
-from repro.unify.substitution import apply_term
+from repro.core.terms import Oid, Var, VersionId, is_ground
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.objectbase import Delta, ObjectBase
     from repro.core.rules import UpdateRule
 
 __all__ = [
-    "codegen_enabled",
     "CompiledBody",
     "CompiledRule",
     "compiled_body",
@@ -101,15 +96,6 @@ _STATS = {
 }
 
 
-def codegen_enabled() -> bool:
-    """True unless the ``REPRO_NO_CODEGEN`` escape hatch is set.
-
-    Read per call (cheap) so tests and operators can flip the flag in a
-    running process; ``""`` and ``"0"`` count as *not* set.
-    """
-    return os.environ.get("REPRO_NO_CODEGEN", "0") in ("", "0")
-
-
 # ----------------------------------------------------------------------
 # expression compilation (built-in filters and binders)
 # ----------------------------------------------------------------------
@@ -121,7 +107,7 @@ def _compile_var_load(var: Var, slot: int, strict: bool) -> Callable[[Row], Oid]
     Plain variables always hold OIDs (the matcher's sort discipline), so
     they load unchecked.  Version variables may hold VIDs; in a *binder*
     context that is a ``BuiltinError`` (candidate fails), in a ground
-    *filter* context the interpreter's substitute-then-evaluate pipeline
+    *filter* context ``_check_ground``'s substitute-then-evaluate pipeline
     raises ``TermError`` — ``strict`` selects which to mirror.
     """
     if type(var) is Var:
@@ -212,7 +198,7 @@ def _builtin_filter(
             a = left(row)
             b = right(row)
             if not (a.is_numeric and b.is_numeric):
-                return False  # BuiltinError in the interpreter: candidate dies
+                return False  # BuiltinError in _check_ground: candidate dies
             av, bv = a.value, b.value
             if op == "<":
                 value = av < bv
@@ -253,7 +239,7 @@ def _update_generator(
     in_slots: tuple[tuple[Var, int], ...],
     out_vars: tuple[Var, ...],
 ) -> Callable[["ObjectBase", list[Row]], list[Row]]:
-    """A batch update-term generator bridging into the interpreted
+    """A batch update-term generator bridging into the shared
     ``_generate`` + re-verify pipeline (``PlanStep.verify`` is always True
     for update-term generators)."""
 
@@ -523,7 +509,7 @@ def _emit_version_generator(
         check_host = True
         cols = step.index_cols
         if len(cols) > 1:
-            # Mirror the interpreter: smallest bucket wins, empty prunes.
+            # Mirror _host_candidates: smallest bucket wins, empty prunes.
             parts = []
             for column in cols:
                 term = atom.result if column < 0 else atom.args[column]
@@ -696,8 +682,8 @@ class CompiledBody:
         return self.fn(base, seed_rows)
 
     def bindings(self, base: "ObjectBase") -> list[Binding]:
-        """Complete matches as fresh dicts — the compiled equivalent of
-        ``grounding._match_planned`` (dedup only with > 1 generator)."""
+        """Complete matches as fresh dicts, each at most once (dedup only
+        with > 1 generator)."""
         rows = self.fn(base, [()])
         slots = self.slots
         if self.generator_count <= 1:
@@ -753,10 +739,9 @@ def _compile_seed_matcher(
 ):
     """Compile the bulk seed matcher: delta facts in, slot rows out.
 
-    The interpreted path matches each delta fact against the seed literal
-    one ``match_term`` + ``_match_application`` at a time; this generates
-    one loop that destructures, checks and projects every fact into a row
-    laid out in ``seed_vars`` order (the seed plan's leading slots).
+    One generated loop destructures, checks and projects every delta fact
+    into a row laid out in ``seed_vars`` order (the seed plan's leading
+    slots).
     """
     em = _Emitter(name)
     em.namespace["Oid"] = Oid
@@ -797,7 +782,7 @@ class CompiledRule:
     def seeded(self, position: int):
         """``(seed_matcher, compiled_body)`` for the seed literal at
         ``position``, or ``None`` when the seeded plan could not be
-        compiled (caller falls back to the interpreted seeded matcher)."""
+        compiled (the caller then matches the rule in full)."""
         try:
             return self._seeded[position]
         except KeyError:
@@ -861,12 +846,16 @@ def match_rule_seeded_compiled(
     delta: "Delta",
     positions: tuple[int, ...],
 ) -> list[Binding] | None:
-    """Compiled equivalent of ``match_rule_seeded``: delta facts stream
-    through the bulk seed matcher and the compiled seeded body in one batch
-    per position, with the same shared dedup across positions.
+    """Semi-naive matching: every returned binding has at least one seed
+    literal matching a fact *added* by the previous ``T_P`` application.
+    Delta facts stream through the bulk seed matcher and the compiled seeded
+    body in one batch per position, with one dedup shared across positions.
 
-    Returns ``None`` (caller falls back to the interpreted seeded matcher)
-    when any needed seed plan is unavailable.
+    Only sound when :func:`repro.core.plans.classify` returned these seed
+    positions — i.e. when every other way the rule could newly fire has
+    been ruled out by its dependency signature.  Returns ``None`` (the
+    caller then matches the rule in full) when any needed seed plan is
+    unavailable.
     """
     compiled = compiled_rule(rule)
     entries = []

@@ -29,14 +29,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.atoms import UpdateAtom
-from repro.core.codegen import (
-    codegen_enabled,
-    match_rule_compiled,
-    match_rule_seeded_compiled,
-)
+from repro.core.codegen import match_rule_seeded_compiled
 from repro.core.errors import EvaluationError
 from repro.core.facts import EXISTS, Fact, exists_fact
-from repro.core.grounding import match_rule, match_rule_dynamic, match_rule_seeded
+from repro.core.grounding import match_rule, match_rule_dynamic
 from repro.core.objectbase import Delta, ObjectBase
 from repro.obs import metrics as _obs
 from repro.core.plans import SEED, SKIP, classify, rule_plan
@@ -139,7 +135,6 @@ def tp_step(
     collect_fired: bool = False,
     delta: Delta | None = None,
     use_plans: bool = True,
-    compiled: bool | None = None,
 ) -> TPResult:
     """One application of ``T_P`` for the given rules against ``base``.
 
@@ -166,24 +161,18 @@ def tp_step(
     matter.
 
     ``use_plans=False`` selects the original dynamic-ordering matcher for
-    every rule — the naive reference path.
-
-    ``compiled`` — run plan-compiled (set-at-a-time) rule bodies where
-    available (:mod:`repro.core.codegen`); ``None`` defers to the
-    ``REPRO_NO_CODEGEN`` escape hatch.  Rules whose bodies have no compiled
-    form fall back to the interpreted planned matcher per rule, so this
-    only ever affects speed.
+    every rule — the naive reference path.  Otherwise rules run their
+    compiled plans (:mod:`repro.core.codegen`); a seeded rule whose seed
+    literal has no compiled entry is matched in full instead, which is
+    always sound.
     """
     pending = PendingUpdates()
     fired: list[FiredInstance] = []
     reading = base if match_base is None else match_base
     restricted = delta is not None and match_base is None and use_plans
-    if compiled is None:
-        compiled = codegen_enabled()
-    compiled = compiled and use_plans
-    # Per-rule profiling (matched/fired counts, cumulative seconds,
-    # compiled-fallback hits) — resolved once per step so the disabled
-    # path pays one env lookup for the whole rule loop.
+    # Per-rule profiling (matched/fired counts, cumulative seconds) —
+    # resolved once per step so the disabled path pays one env lookup for
+    # the whole rule loop.
     record = _obs.metrics_enabled()
     registry = _obs.registry() if record else None
 
@@ -192,6 +181,7 @@ def tp_step(
         rule_start = time.perf_counter() if record else 0.0
         matched = 0
         rule_fired = 0
+        bindings = None
         if restricted:
             mode, positions = classify(rule_plan(rule).signature, delta)
             if mode == SKIP:
@@ -199,31 +189,15 @@ def tp_step(
                     registry.inc("engine_rule_skipped", 1, rule=rule.name)
                 continue
             if mode == SEED:
-                bindings = (
-                    match_rule_seeded_compiled(rule, reading, delta, positions)
-                    if compiled
-                    else None
+                bindings = match_rule_seeded_compiled(
+                    rule, reading, delta, positions
                 )
-                if bindings is None:
-                    if record and compiled:
-                        registry.inc("engine_fallback_hits", 1, path="seed")
-                    bindings = match_rule_seeded(
-                        rule, reading, delta, positions
-                    )
-            else:
-                bindings = match_rule_compiled(rule, reading) if compiled else None
-                if bindings is None:
-                    if record and compiled:
-                        registry.inc("engine_fallback_hits", 1, path="full")
-                    bindings = match_rule(rule, reading)
-        elif use_plans:
-            bindings = match_rule_compiled(rule, reading) if compiled else None
-            if bindings is None:
-                if record and compiled:
-                    registry.inc("engine_fallback_hits", 1, path="full")
-                bindings = match_rule(rule, reading)
-        else:
-            bindings = match_rule_dynamic(rule, reading)
+        if bindings is None:
+            bindings = (
+                match_rule(rule, reading)
+                if use_plans
+                else match_rule_dynamic(rule, reading)
+            )
         for binding in bindings:
             matched += 1
             head = rule.head.substitute(binding)

@@ -14,10 +14,11 @@ delta by its precompiled dependency signature (:mod:`repro.core.plans`) —
 rules that cannot read anything that changed are skipped, rules whose only
 exposure is a positive version-term are re-matched starting from the new
 facts, and everything else is re-matched in full.  The per-iteration cost is
-thus proportional to the size of the change, not of the base.
-``EvaluationOptions(semi_naive=False)`` restores the original behaviour
-(recompute ``T¹`` from scratch with the dynamic-ordering matcher each
-iteration); the two paths are differentially tested against each other.
+thus proportional to the size of the change, not of the base.  Rule bodies
+run as compiled plans (:mod:`repro.core.codegen`).
+``EvaluationOptions(semi_naive=False)`` is the reference oracle: it
+recomputes ``T¹`` from scratch with the dynamic-ordering matcher each
+iteration, and the two paths are differentially tested against each other.
 
 The version-linearity check of Section 5 runs incrementally during
 evaluation (the paper: "its realization seems to be not expensive"; E7
@@ -26,9 +27,9 @@ benchmarks that claim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.codegen import codegen_enabled
+from repro.core.codegen import compiled_rule
 from repro.core.consequence import apply_tp, tp_step
 from repro.core.errors import EvaluationLimitError, ProgramError, VersionDepthError
 from repro.core.linearity import LinearityTracker
@@ -73,16 +74,9 @@ class EvaluationOptions:
         Delta-driven fixpoint with precompiled join plans (the default).
         ``False`` selects the naive reference path: every iteration
         re-matches every rule of the stratum against the whole base with
-        the dynamic-ordering matcher.  Both paths compute the same
-        ``result(P)``, fire the same rule-instance sets and reach the same
-        linearity verdicts — only the work per iteration differs.
-    compiled:
-        Run plan-compiled, set-at-a-time rule bodies
-        (:mod:`repro.core.codegen`) where available; bodies without a
-        compiled form fall back to the interpreted planned matcher per
-        rule.  Defaults to on unless the ``REPRO_NO_CODEGEN`` environment
-        escape hatch is set.  Ignored on the naive path
-        (``semi_naive=False`` keeps the dynamic reference matcher).
+        the dynamic-ordering matcher (the oracle).  Both paths compute the
+        same ``result(P)``, fire the same rule-instance sets and reach the
+        same linearity verdicts — only the work per iteration differs.
     """
 
     max_iterations_per_stratum: int = 10_000
@@ -93,7 +87,6 @@ class EvaluationOptions:
     collect_snapshots: bool = False
     max_version_depth: int | None = None
     semi_naive: bool = True
-    compiled: bool = field(default_factory=codegen_enabled)
 
 
 @dataclass
@@ -129,7 +122,7 @@ class CompiledProgram:
     safety_checked: bool
     #: The plan-compiled rule executors (``repro.core.codegen``), pinned
     #: here so a long-lived compiled program never loses its closures to
-    #: LRU eviction.  Empty when compiled execution was off at compile time.
+    #: LRU eviction.  Empty on the naive path, which never runs them.
     compiled_rules: tuple = ()
 
 
@@ -149,14 +142,7 @@ def compile_program(
     stratification = stratify(program)
     compiled_rules: tuple = ()
     if options.semi_naive:
-        from repro.core.plans import rule_plan
-
-        for rule in program:
-            rule_plan(rule)
-        if options.compiled and codegen_enabled():
-            from repro.core.codegen import compiled_rule
-
-            compiled_rules = tuple(compiled_rule(rule) for rule in program)
+        compiled_rules = tuple(compiled_rule(rule) for rule in program)
     return CompiledProgram(
         program, stratification, options.check_safety, compiled_rules
     )
@@ -219,7 +205,6 @@ def evaluate(
                 collect_fired=options.collect_trace,
                 delta=delta,
                 use_plans=options.semi_naive,
-                compiled=options.compiled and codegen_enabled(),
             )
             if options.max_version_depth is not None:
                 for version in step.new_versions:

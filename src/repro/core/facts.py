@@ -59,6 +59,11 @@ class Fact:
         self.result = result
         self._hash = hash((host, method, args, result))
 
+    def __reduce__(self):
+        # Rebuild through the constructor: a pickled ``_hash`` is only valid
+        # under the hash seed of the process that computed it.
+        return (Fact, (self.host, self.method, self.args, self.result))
+
     def __hash__(self) -> int:
         return self._hash
 

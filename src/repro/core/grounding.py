@@ -16,14 +16,13 @@ Strategy — a backtracking search over a literal ordering:
 4. negated literals and comparisons wait until they are ground.
 
 The ordering decisions depend only on which variables are bound, so they are
-precompiled once per body into a :class:`~repro.core.plans.JoinPlan` and the
-default matcher just walks the plan (:func:`match_rule` / :func:`match_body`).
-The original per-node dynamic chooser is kept, byte for byte, as
-:func:`match_rule_dynamic` — the fallback for bodies the planner cannot
-order statically, and the reference implementation the semi-naive engine is
-differentially tested against.  :func:`match_rule_seeded` is the
-delta-restricted variant: it grows bindings outward from the facts added by
-the previous ``T_P`` application instead of re-joining the whole base.
+precompiled once per body into a :class:`~repro.core.plans.JoinPlan`, and
+:func:`match_rule` / :func:`match_body` run that plan as generated code
+(:mod:`repro.core.codegen`).  The original per-node dynamic chooser is kept
+as :func:`match_rule_dynamic` — the executor for bodies the planner cannot
+order statically, and the reference oracle the compiled path is
+differentially tested against.  The generators and ground-literal checks
+below are shared by both: the compiled update-term steps bridge into them.
 
 Every complete assignment is re-verified against the authoritative truth
 functions of :mod:`repro.core.truth`, so the index-driven generators and the
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.atoms import BuiltinAtom, Literal, UpdateAtom, VersionAtom
 from repro.core.caches import register_lru_cache
@@ -44,15 +43,7 @@ from repro.core.errors import BuiltinError, EvaluationError
 from repro.core.exprs import evaluate_expr, expr_variables
 from repro.core.facts import Fact
 from repro.core.objectbase import ObjectBase
-from repro.core.plans import (
-    BINDER,
-    FILTER,
-    JoinPlan,
-    compile_plan,
-    rule_plan,
-    seed_facts,
-    var_sort_key,
-)
+from repro.core.plans import JoinPlan, compile_plan
 from repro.core.rules import UpdateRule
 from repro.core.terms import (
     Oid,
@@ -66,14 +57,10 @@ from repro.core.truth import literal_true
 from repro.unify.substitution import apply_term
 from repro.unify.unification import match_term
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.objectbase import Delta
-
 __all__ = [
     "match_rule",
     "match_body",
     "match_rule_dynamic",
-    "match_rule_seeded",
     "match_rule_bruteforce",
 ]
 
@@ -87,14 +74,16 @@ def match_rule(rule: UpdateRule, base: ObjectBase) -> Iterator[Binding]:
     once each.  Built-in type errors (e.g. arithmetic on a symbolic OID)
     fail the candidate instead of raising (DESIGN.md D6).
 
-    Uses the precompiled join plan of the rule; yielded dicts are fresh per
-    answer and safe to keep, but callers must not mutate the base while the
-    iterator is live.
+    Runs the rule's compiled plan (:mod:`repro.core.codegen`, imported
+    lazily: it sits above this module), or the dynamic matcher when the
+    body has no plan.  Yielded dicts are fresh per answer.
     """
-    plan = rule_plan(rule).full_plan
-    if plan is None:
+    from repro.core.codegen import match_rule_compiled
+
+    bindings = match_rule_compiled(rule, base)
+    if bindings is None:
         return match_rule_dynamic(rule, base)
-    return _match_planned(plan, base)
+    return iter(bindings)
 
 
 @lru_cache(maxsize=4096)
@@ -112,136 +101,13 @@ def match_body(
     rule_name: str = "<body>",
 ) -> Iterator[Binding]:
     """Like :func:`match_rule` for a bare body (used by the query API)."""
+    from repro.core.codegen import compiled_body
+
     body = tuple(body)
-    plan = _body_plan(body)
-    if plan is None:
+    compiled = compiled_body(body)
+    if compiled is None:
         return match_body_dynamic(body, base, rule_name=rule_name)
-    # Prefer the codegen'd executor (lazy import: codegen sits above this
-    # module).  Same results; _match_planned stays as the oracle.
-    from repro.core.codegen import codegen_enabled, compiled_body
-
-    if codegen_enabled():
-        compiled = compiled_body(body)
-        if compiled is not None:
-            return iter(compiled.bindings(base))
-    return _match_planned(plan, base)
-
-
-# ----------------------------------------------------------------------
-# planned search (the default engine)
-# ----------------------------------------------------------------------
-
-
-def _match_planned(plan: JoinPlan, base: ObjectBase) -> Iterator[Binding]:
-    results = _search_planned(plan.steps, 0, {}, base)
-    if plan.generator_count <= 1:
-        # At most one generator: two distinct generated facts always bind
-        # some variable differently (every differing fact position is either
-        # a variable or a constant of the atom), so duplicates are
-        # impossible and the dedup bookkeeping is pure overhead.
-        yield from results
-        return
-    seen: set[tuple] = set()
-    key_vars = plan.key_vars
-    for binding in results:
-        key = tuple(binding[v] for v in key_vars)
-        if key not in seen:
-            seen.add(key)
-            yield binding
-
-
-def _search_planned(
-    steps: tuple, index: int, binding: Binding, base: ObjectBase
-) -> Iterator[Binding]:
-    """Walk the plan: filters and binders advance in place, generators are
-    the only branch points."""
-    n = len(steps)
-    while index < n:
-        step = steps[index]
-        action = step.action
-        if action == FILTER:
-            if not _check_ground(step.literal, binding, base):
-                return
-            index += 1
-        elif action == BINDER:
-            extension = _bind_equality(step.literal.atom, binding)
-            if extension is None:
-                return
-            binding = extension
-            index += 1
-        else:  # GENERATE
-            literal = step.literal
-            index += 1
-            if step.verify:
-                for extension in _generate(literal, binding, base, step.index_cols):
-                    # Re-verify with the authoritative semantics.
-                    if _check_ground(literal, extension, base):
-                        yield from _search_planned(steps, index, extension, base)
-            else:
-                # Exact generator (see plans.PlanStep.verify).
-                for extension in _generate(literal, binding, base, step.index_cols):
-                    yield from _search_planned(steps, index, extension, base)
-            return
-    yield binding
-
-
-# ----------------------------------------------------------------------
-# delta-restricted (seeded) matching
-# ----------------------------------------------------------------------
-
-
-def match_rule_seeded(
-    rule: UpdateRule,
-    base: ObjectBase,
-    delta: "Delta",
-    positions: tuple[int, ...],
-) -> Iterator[Binding]:
-    """Semi-naive matching: every yielded binding has at least one seed
-    literal matching a fact *added* by the previous ``T_P`` application.
-
-    Only sound when :func:`repro.core.plans.classify` returned these seed
-    positions — i.e. when every other way the rule could newly fire has
-    been ruled out by its dependency signature.
-    """
-    plans = rule_plan(rule)
-    signature = plans.signature
-    seen: set[tuple] = set()
-    dynamic_rest: list | None = None
-    dynamic_key_vars: tuple[Var, ...] | None = None
-    for position in positions:
-        atom = rule.body[position].atom  # a positive VersionAtom
-        facts = seed_facts(delta, signature, position)
-        if not facts:
-            continue
-        plan = plans.seed_plan(position)
-        for fact in facts:
-            seeded = match_term(atom.host, fact.host)
-            if seeded is None:
-                continue
-            seeded = _match_application(atom.args, atom.result, fact, seeded)
-            if seeded is None:
-                continue
-            if plan is not None:
-                results = _search_planned(plan.steps, 0, seeded, base)
-                key_vars = plan.key_vars
-            else:
-                if dynamic_rest is None:
-                    dynamic_rest = [
-                        (literal, literal.variables)
-                        for i, literal in enumerate(rule.body)
-                        if i != position
-                    ]
-                    names: set[Var] = set()
-                    for literal in rule.body:
-                        names |= literal.variables
-                    dynamic_key_vars = tuple(sorted(names, key=var_sort_key))
-                results = _search(dynamic_rest, seeded, base, rule.name)
-                key_vars = dynamic_key_vars
-            for binding in results:
-                key = tuple(binding[v] for v in key_vars)
-                if key not in seen:
-                    seen.add(key)
-                    yield binding
+    return iter(compiled.bindings(base))
 
 
 # ----------------------------------------------------------------------

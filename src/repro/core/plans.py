@@ -11,11 +11,11 @@ set, an equality is a binder iff its unbound side is a single fresh variable
 whose other side is fully bound, and the generator score counts bound
 variables and checks host groundness.  The bound set after any prefix of
 choices is itself statically determined, so the entire choice sequence can
-be replayed once per ``(body, seed)`` pair and cached as a :class:`JoinPlan`
-— the runtime search just walks the steps.  When the simulation gets stuck
-(an unsafe body that only the safety checker should ever produce) the plan
-is ``None`` and callers fall back to the dynamic chooser, so plans can only
-affect speed, never semantics.
+be replayed once per ``(body, seed)`` pair and cached as a :class:`JoinPlan`,
+which :mod:`repro.core.codegen` compiles to a specialized function.  When
+the simulation gets stuck (an unsafe body that only the safety checker
+should ever produce) the plan is ``None`` and callers fall back to the
+dynamic chooser, so plans can only affect speed, never semantics.
 
 **Rule dependency signatures.**  After the first ``T_P`` application of a
 stratum, a rule can only derive a *new* head-true ground instance if some

@@ -13,8 +13,8 @@ With the concrete syntax of :mod:`repro.lang` this becomes::
 
 For read-heavy serving, :class:`PreparedQuery` is the compile-once form: the
 join plan (literal ordering *and* secondary-index column selection) is built
-a single time, every execution walks the planned matcher, and the query
-carries the :class:`~repro.core.plans.QuerySignature` the versioned store
+and compiled a single time, every execution runs the compiled plan, and the
+query carries the :class:`~repro.core.plans.QuerySignature` the versioned store
 uses to decide — from the exact ``(added, removed)`` delta of each commit —
 whether a memoized answer set is still valid at the new revision
 (:meth:`repro.storage.history.VersionedStore.query`).
@@ -25,13 +25,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.atoms import Literal
-from repro.core.codegen import codegen_enabled, compiled_body
-from repro.core.grounding import (
-    _body_plan,
-    _match_planned,
-    match_body,
-    match_body_dynamic,
-)
+from repro.core.codegen import compiled_body
+from repro.core.grounding import match_body, match_body_dynamic
 from repro.core.objectbase import ObjectBase
 from repro.core.plans import body_signature
 from repro.core.terms import Oid, Var
@@ -195,7 +190,8 @@ class PreparedQuery:
     """A conjunctive query compiled once and executable many times.
 
     Construction compiles the body's :class:`~repro.core.plans.JoinPlan`
-    (literal order + index-column selection) and its
+    (literal order + index-column selection) to generated code
+    (:mod:`repro.core.codegen`), and derives its
     :class:`~repro.core.plans.QuerySignature` (which method keys and host
     shapes can change the answers).  ``run`` executes against any base; the
     versioned store adds per-revision memoization on top (see
@@ -205,23 +201,16 @@ class PreparedQuery:
     all memoization state lives with the store, keyed by the query.
     """
 
-    __slots__ = ("body", "plan", "compiled", "signature", "name", "_hash")
+    __slots__ = ("body", "compiled", "signature", "name", "_hash")
 
     def __init__(
         self, literals: Sequence[Literal], *, name: str = "<prepared>"
     ) -> None:
         self.body = tuple(literals)
-        # The shared cached compile (the same entry match_body uses at run
-        # time), so constructing a prepared query never compiles twice.
-        self.plan = _body_plan(self.body)
-        # The codegen'd executor for the same plan (None for unplannable
-        # bodies or under REPRO_NO_CODEGEN); kept on the query so a
-        # long-lived prepared query never recompiles on cache eviction.
-        self.compiled = (
-            compiled_body(self.body)
-            if self.plan is not None and codegen_enabled()
-            else None
-        )
+        # The codegen'd executor of the body's plan (the same cached entry
+        # match_body uses; None for unplannable bodies), kept on the query
+        # so a long-lived prepared query never recompiles on cache eviction.
+        self.compiled = compiled_body(self.body)
         self.signature = body_signature(self.body)
         self.name = name
         self._hash = hash(self.body)
@@ -238,13 +227,8 @@ class PreparedQuery:
         return f"PreparedQuery({self.name!r}, {len(self.body)} literals)"
 
     def _execute(self, base: ObjectBase):
-        # The stored plan is executed directly — never refetched from the
-        # bounded global plan cache, whose eviction would otherwise make a
-        # long-lived prepared query recompile per run.
-        if self.compiled is not None and codegen_enabled():
+        if self.compiled is not None:
             return self.compiled.bindings(base)
-        if self.plan is not None:
-            return _match_planned(self.plan, base)
         return match_body_dynamic(self.body, base, rule_name=self.name)
 
     def bindings(self, base: ObjectBase) -> list[dict[Var, object]]:

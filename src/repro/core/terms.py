@@ -103,6 +103,11 @@ class Oid:
         self.value = value
         self._hash = hash((value,))
 
+    def __reduce__(self):
+        # Rebuild through the constructor: a pickled ``_hash`` is only valid
+        # under the hash seed of the process that computed it.
+        return (Oid, (self.value,))
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -179,6 +184,10 @@ class Var:
         self.name = name
         self._hash = hash((name,))
 
+    def __reduce__(self):
+        # Rebuilt through the constructor, as for Oid (covers VersionVar).
+        return (self.__class__, (self.name,))
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -235,6 +244,10 @@ class VersionId:
         self.kind = kind
         self.base = base
         self._hash = hash((kind, base))
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, as for Oid.
+        return (VersionId, (self.kind, self.base))
 
     def __hash__(self) -> int:
         return self._hash

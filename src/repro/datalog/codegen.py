@@ -33,7 +33,6 @@ from repro.core.codegen import (
     _compile_expr,
     _Emitter,
     _tuple_src,
-    codegen_enabled,
 )
 from repro.core.exprs import expr_variables
 from repro.core.terms import Oid, Var
@@ -42,7 +41,7 @@ from repro.datalog.ast import DatalogLiteral
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datalog.database import Database
 
-__all__ = ["CompiledDatalogBody", "compiled_datalog_body", "codegen_enabled"]
+__all__ = ["CompiledDatalogBody", "compiled_datalog_body"]
 
 Binding = dict[Var, Oid]
 
@@ -158,7 +157,7 @@ def compiled_datalog_body(
     body: tuple[DatalogLiteral, ...]
 ) -> CompiledDatalogBody | None:
     """The compiled executor for ``body``; ``None`` for unplannable bodies
-    (the interpreted dynamic chooser takes over, exactly as before)."""
+    (the dynamic chooser takes over)."""
     from repro.datalog.evaluation import _BINDER, _FILTER, _compile_plan
 
     plan = _compile_plan(body)

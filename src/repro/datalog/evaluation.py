@@ -16,8 +16,10 @@ reads fully computed predicates.
 Like the update engine's matcher (:mod:`repro.core.grounding`), the join
 search orders literals dynamically — and those ordering decisions depend
 only on which variables are bound, so they are precompiled once per rule
-body into a static plan and replayed (``_compile_plan``); the dynamic
-chooser remains as the fallback for unsafe bodies.  The semi-naive loop
+body into a static plan (``_compile_plan``).  Full matching runs the plan
+as generated code (:mod:`repro.datalog.codegen`), the delta-bound rounds of
+the semi-naive loop walk it, and the dynamic chooser remains as the
+fallback for unsafe bodies.  The semi-naive loop
 additionally consults a delta dependency check: a ``(rule, recursive
 position)`` pair only re-fires when the delta actually holds rows for that
 position's predicate.
@@ -135,17 +137,14 @@ def match_datalog_rule(
         yield from _search(literals, {}, database, delta, delta_literal)
         return
     if delta_literal is None:
-        # Full (unrestricted) matching takes the codegen'd executor when
-        # available; the delta-bound recursive rounds keep this interpreted
-        # walker (they swap the row source per position, and the delta is
-        # small by construction).
-        from repro.datalog.codegen import codegen_enabled, compiled_datalog_body
+        # Full (unrestricted) matching takes the codegen'd executor; the
+        # delta-bound recursive rounds keep this planned walker (they swap
+        # the row source per position, and the delta is small by
+        # construction).
+        from repro.datalog.codegen import compiled_datalog_body
 
-        if codegen_enabled():
-            compiled = compiled_datalog_body(rule.body)
-            if compiled is not None:
-                yield from compiled.bindings(database)
-                return
+        yield from compiled_datalog_body(rule.body).bindings(database)
+        return
     yield from _search_planned(plan, 0, {}, database, delta, delta_literal)
 
 
@@ -228,18 +227,13 @@ class PreparedDatalogQuery:
 
     def bindings(self, database: Database) -> Iterator[Binding]:
         """All satisfying substitutions (unmemoized, possibly duplicated)."""
-        plan = _compile_plan(self.body)
-        if plan is None:
+        from repro.datalog.codegen import compiled_datalog_body
+
+        compiled = compiled_datalog_body(self.body)
+        if compiled is None:
             yield from _search(list(enumerate(self.body)), {}, database, None, None)
             return
-        from repro.datalog.codegen import codegen_enabled, compiled_datalog_body
-
-        if codegen_enabled():
-            compiled = compiled_datalog_body(self.body)
-            if compiled is not None:
-                yield from compiled.bindings(database)
-                return
-        yield from _search_planned(plan, 0, {}, database, None, None)
+        yield from compiled.bindings(database)
 
     def run(self, database: Database) -> list[dict[str, object]]:
         """Deduplicated, deterministically sorted answers, memoized.

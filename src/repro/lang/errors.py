@@ -13,6 +13,7 @@ class ParseError(ReproError):
     """
 
     def __init__(self, message: str, line: int, column: int):
+        self.reason = message
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")

@@ -34,6 +34,12 @@ _KIND_NAMES = {"ins": UpdateKind.INSERT, "del": UpdateKind.DELETE, "mod": Update
 _COMPARISONS = {"EQ": "=", "NE": "!=", "LT": "<", "GT": ">", "LE": "=<", "GE": ">="}
 #: Token comparison spelling -> core operator spelling.
 _COMPARISON_OPS = {"=": "=", "!=": "!=", "<": "<", ">": ">", "=<": "<=", ">=": ">="}
+#: Deepest nesting of version functors (``mod(mod(...))``) or of
+#: parentheses and unary minus in one expression.  The parser recurses once
+#: per level, and so do the evaluator and the printer on what it builds;
+#: this bound turns hostile input into a ``ParseError`` long before any of
+#: them could exhaust the interpreter stack.
+MAX_NESTING = 200
 
 
 class _Parser:
@@ -42,6 +48,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.position = 0
+        self.depth = 0
 
     # -- cursor ---------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
@@ -72,6 +79,15 @@ class _Parser:
     def at_end(self) -> bool:
         return self.peek().type == "EOF"
 
+    def nest(self, parse):
+        """Run ``parse()`` one nesting level deeper (see MAX_NESTING)."""
+        if self.depth >= MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
     # -- terms ------------------------------------------------------------
     def parse_vid_term(self) -> Term:
         """A version-id-term: ``ident``, ``Variable``, ``'quoted oid'``,
@@ -85,7 +101,7 @@ class _Parser:
             if self.peek(1).type == "LPAREN":
                 self.advance()
                 self.expect("LPAREN", "'(' after version functor")
-                inner = self.parse_vid_term()
+                inner = self.nest(self.parse_vid_term)
                 self.expect("RPAREN", "')' closing version functor")
                 return VersionId(_KIND_NAMES[token.value], inner)
         return self.parse_object_id_term()
@@ -131,12 +147,12 @@ class _Parser:
         token = self.peek()
         if token.type == "LPAREN":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.nest(self.parse_expr)
             self.expect("RPAREN", "')' closing the expression")
             return inner
         if token.type == "MINUS":
             self.advance()
-            return Neg(self.parse_expr_factor())
+            return Neg(self.nest(self.parse_expr_factor))
         if token.type in ("IDENT", "STRING", "NUMBER"):
             term = self.parse_object_id_term()
             return term

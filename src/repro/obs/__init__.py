@@ -1,7 +1,7 @@
 """repro.obs — the end-to-end observability layer.
 
 One process-wide metrics registry (:mod:`repro.obs.metrics`: counters,
-gauges, histograms with bounded reservoirs, lightweight tracing spans),
+gauges, histograms with bounded reservoirs),
 a ring-buffered slow-query/slow-commit log (:mod:`repro.obs.slowlog`),
 and the ``repro top`` dashboard renderer (:mod:`repro.obs.dashboard`).
 
@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     render_prometheus,
     set_gauge,
     snapshot,
-    span,
 )
 # NB: only the class and the record helper are lifted here — re-exporting
 # the ``slowlog()`` accessor would shadow the ``repro.obs.slowlog``
@@ -51,5 +50,4 @@ __all__ = [
     "render_prometheus",
     "set_gauge",
     "snapshot",
-    "span",
 ]

@@ -4,7 +4,7 @@ The registry is always importable and always writable — benchmarks record
 headline numbers through it unconditionally — but the *instrumentation
 call sites* spread through the engine, store, server and replication
 layers all go through the guarded module-level helpers (:func:`inc`,
-:func:`observe`, :func:`set_gauge`, :func:`span`), which are no-ops
+:func:`observe`, :func:`set_gauge`), which are no-ops
 unless observability is switched on.  That keeps the disabled path to a
 single module-global read plus a falsy check per instrumentation point:
 the acceptance bound is < 5 % overhead on the hot benchmarks with
@@ -13,7 +13,7 @@ the acceptance bound is < 5 % overhead on the hot benchmarks with
 Switching on:
 
 * environment — ``REPRO_OBS=1`` (anything but ``""``/``"0"``), read per
-  call exactly like ``REPRO_NO_CODEGEN`` so tests can monkeypatch it;
+  call so tests can monkeypatch it;
 * programmatic — :func:`enable_metrics` (``repro serve --metrics``),
   which overrides the environment until cleared with
   ``enable_metrics(None)``.
@@ -22,18 +22,12 @@ Histograms keep ``count``/``sum``/``min``/``max`` exactly and a bounded
 reservoir (default 512 samples, oldest-out) from which snapshot-time
 quantiles (p50/p95/p99) are computed — memory stays O(series), never
 O(observations).
-
-Tracing spans are deliberately lightweight: :func:`span` is a context
-manager that times its block and feeds one histogram observation
-(``<name>_seconds``), so a span costs nothing when metrics are off and
-one ``perf_counter`` pair when on.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from collections import deque
 
 __all__ = [
@@ -49,7 +43,6 @@ __all__ = [
     "render_prometheus",
     "set_gauge",
     "snapshot",
-    "span",
 ]
 
 #: Bounded reservoir size per histogram series (oldest-out).
@@ -63,10 +56,10 @@ _FORCED: bool | None = None
 def metrics_enabled() -> bool:
     """Is metric recording switched on for this process?
 
-    Mirrors :func:`repro.core.codegen.codegen_enabled`: the environment
-    is consulted per call (cheap — one dict lookup) so tests can flip
-    ``REPRO_OBS`` without reimporting, and :func:`enable_metrics` wins
-    over the environment when it has been called.
+    The environment is consulted per call (cheap — one dict lookup) so
+    tests can flip ``REPRO_OBS`` without reimporting, and
+    :func:`enable_metrics` wins over the environment when it has been
+    called.
     """
     if _FORCED is not None:
         return _FORCED
@@ -324,52 +317,6 @@ def set_gauge(name: str, value: float, **labels: str) -> None:
 def observe(name: str, value: float, **labels: str) -> None:
     if metrics_enabled():
         _REGISTRY.observe(name, value, **labels)
-
-
-class _Span:
-    """Times its block and observes ``<name>_seconds`` on exit."""
-
-    __slots__ = ("name", "labels", "start", "seconds")
-
-    def __init__(self, name: str, labels: dict[str, str]) -> None:
-        self.name = name
-        self.labels = labels
-        self.start = 0.0
-        self.seconds = 0.0
-
-    def __enter__(self) -> "_Span":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.seconds = time.perf_counter() - self.start
-        if metrics_enabled():
-            _REGISTRY.observe(
-                f"{self.name}_seconds", self.seconds, **self.labels
-            )
-
-
-class _NoopSpan:
-    __slots__ = ()
-    seconds = 0.0
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
-def span(name: str, **labels: str):
-    """A lightweight tracing span: ``with span("commit.append"): ...``
-    observes one duration into the ``commit.append_seconds`` histogram.
-    Returns a shared no-op object when metrics are off."""
-    if not metrics_enabled():
-        return _NOOP_SPAN
-    return _Span(name, labels)
 
 
 def snapshot() -> dict:

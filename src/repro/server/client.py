@@ -25,6 +25,7 @@ import asyncio
 import itertools
 
 from repro.core.query import decode_answers
+from repro.lang.errors import ParseError
 from repro.server.errors import (
     ConflictError,
     ConnectionClosed,
@@ -59,6 +60,8 @@ def _raise_for(response: dict) -> dict:
         )
     if response.get("not_primary"):
         raise NotPrimaryError(message)
+    if response.get("parse_error"):
+        raise ParseError(*response["parse_error"])
     if response.get("retryable"):
         # non-conflict but typed-retryable: the server shed load
         raise ServerBusyError(message)

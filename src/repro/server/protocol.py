@@ -6,7 +6,10 @@ optional client-chosen ``id`` echoed on the response; responses carry
 Failed responses set ``retryable: true`` when a client may back off and
 re-issue (optimistic-commit conflicts — which additionally carry
 ``conflict: true`` and the conflicting revision — and load-shedding
-rejections); anything else is a terminal error for that request.
+rejections); anything else is a terminal error for that request.  A
+syntax error in program or query text carries ``parse_error: [reason,
+line, column]`` so clients raise the same ``ParseError`` an in-process
+parse would.
 
 Push messages carry ``push`` instead of ``id`` and may arrive at any
 point between responses, including *before* the response of the commit
@@ -71,6 +74,7 @@ from __future__ import annotations
 import json
 
 from repro.core.errors import ReproError
+from repro.lang.errors import ParseError
 from repro.lang.pretty import format_object_base
 from repro.server.errors import (
     ConflictError,
@@ -175,6 +179,9 @@ class Dispatcher:
             return response
         except ReproError as error:
             response = self._error(request_id, str(error))
+            if isinstance(error, ParseError):
+                # clients re-raise the same class as an in-process parse
+                response["parse_error"] = [error.reason, error.line, error.column]
             if getattr(error, "retryable", False):
                 # the typed-retryable contract: clients branch on this
                 # field (backoff + re-issue) instead of matching strings

@@ -1,27 +1,17 @@
 """Unit tests for the codegen'd, set-at-a-time join executor.
 
 The differential property suite (``tests/property/test_codegen_equiv.py``)
-establishes compiled == interpreted == naive on randomized programs; these
-tests pin the deterministic contracts — slot layout and dedup keys against
-``var_sort_key``, the paper workloads end to end, the ``REPRO_NO_CODEGEN``
-escape hatch, the prepared-query fast path, and the cache-registry
-surface.
+establishes compiled == naive on randomized programs, where the naive path
+runs the interpreted dynamic-ordering matcher; these tests pin the
+deterministic contracts — slot layout and dedup keys against
+``var_sort_key``, the paper workloads end to end, the prepared-query fast
+path, and the cache-registry surface.
 """
 
-import os
-
-import pytest
-
 from repro.core.caches import cache_stats
-from repro.core.codegen import (
-    codegen_enabled,
-    compiled_body,
-    compiled_rule,
-    match_rule_compiled,
-)
-from repro.core.engine import UpdateEngine
+from repro.core.codegen import compiled_body, compiled_rule, match_rule_compiled
 from repro.core.evaluation import EvaluationOptions, evaluate
-from repro.core.grounding import _body_plan, match_body_dynamic, match_rule
+from repro.core.grounding import _body_plan, match_body_dynamic, match_rule_dynamic
 from repro.core.plans import rule_plan, var_sort_key
 from repro.core.query import PreparedQuery
 from repro.lang.parser import parse_body
@@ -33,19 +23,6 @@ from repro.workloads.enterprise import (
     paper_example_base,
     paper_example_program,
 )
-
-
-@pytest.fixture
-def no_codegen(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-
-
-@pytest.fixture
-def with_codegen(monkeypatch):
-    """Force codegen on — these tests assert the compiled executor is
-    *active*, which the CI leg running everything under
-    ``REPRO_NO_CODEGEN=1`` would otherwise falsify."""
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "0")
 
 
 def _fired_sets(trace):
@@ -74,13 +51,14 @@ def _workloads():
 
 def test_compiled_execution_matches_interpreted_on_paper_workloads():
     """Full evaluations (multi-stratum, update atoms in bodies, negation,
-    seeded delta iterations) agree between the compiled and interpreted
-    paths: result base, fired-instance sets, linearity verdicts."""
-    options_compiled = EvaluationOptions(collect_trace=True, compiled=True)
-    options_interpreted = EvaluationOptions(collect_trace=True, compiled=False)
+    seeded delta iterations) agree between the compiled path and the naive
+    path, which interprets every body with the dynamic matcher: result
+    base, fired-instance sets, linearity verdicts."""
+    options_compiled = EvaluationOptions(collect_trace=True)
+    options_naive = EvaluationOptions(collect_trace=True, semi_naive=False)
     for program, base in _workloads():
         fast = evaluate(program, base, options_compiled)
-        slow = evaluate(program, base, options_interpreted)
+        slow = evaluate(program, base, options_naive)
         assert fast.result_base == slow.result_base
         assert fast.final_versions == slow.final_versions
         assert fast.iterations == slow.iterations
@@ -88,16 +66,18 @@ def test_compiled_execution_matches_interpreted_on_paper_workloads():
 
 
 def test_compiled_matcher_matches_interpreted_per_rule():
+    """Per rule, the compiled bindings equal the dynamic matcher's as a
+    set, and the compiled matcher yields no binding twice."""
     for program, base in _workloads():
         for rule in program:
             compiled = match_rule_compiled(rule, base)
             if compiled is None:
                 assert rule_plan(rule).full_plan is None
                 continue
-            interpreted = list(match_rule(rule, base))
-            assert len(compiled) == len(interpreted)
-            assert {frozenset(b.items()) for b in compiled} == {
-                frozenset(b.items()) for b in interpreted
+            fast = {frozenset(b.items()) for b in compiled}
+            assert len(fast) == len(compiled)
+            assert fast == {
+                frozenset(b.items()) for b in match_rule_dynamic(rule, base)
             }
 
 
@@ -146,42 +126,11 @@ def test_compiled_body_is_cached():
 
 
 # ----------------------------------------------------------------------
-# the REPRO_NO_CODEGEN escape hatch
-# ----------------------------------------------------------------------
-
-
-def test_escape_hatch_disables_codegen(no_codegen):
-    assert not codegen_enabled()
-    # The options default tracks the environment at construction time.
-    assert EvaluationOptions().compiled is False
-    # Prepared queries skip the compiled executor but still answer.
-    query = PreparedQuery(parse_body("E.isa -> empl, E.sal -> S"))
-    assert query.compiled is None
-    base = paper_example_base()
-    assert query.run(base) == query.run_unplanned(base)
-
-
-def test_escape_hatch_results_identical(no_codegen):
-    program, base = _workloads()[0]
-    hatch = UpdateEngine().apply(program, base)
-    assert hatch.new_base == UpdateEngine(compiled=True).apply(program, base).new_base
-
-
-def test_codegen_enabled_reads_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_CODEGEN", raising=False)
-    assert codegen_enabled()
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    assert not codegen_enabled()
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "0")
-    assert codegen_enabled()
-
-
-# ----------------------------------------------------------------------
 # the prepared-query fast path
 # ----------------------------------------------------------------------
 
 
-def test_prepared_query_uses_compiled_executor(with_codegen):
+def test_prepared_query_uses_compiled_executor():
     query = PreparedQuery(parse_body("E.isa -> empl, E.sal -> S"))
     assert query.compiled is not None
     base = enterprise_base(n_employees=30, overpaid_ratio=0.1, seed=3)

@@ -3,12 +3,12 @@ signatures and the delta machinery behind semi-naive evaluation."""
 
 import pytest
 
+from repro.core.codegen import match_rule_seeded_compiled
 from repro.core.consequence import apply_tp, tp_step
 from repro.core.grounding import (
     match_body_dynamic,
     match_rule,
     match_rule_dynamic,
-    match_rule_seeded,
 )
 from repro.core.objectbase import Delta, ObjectBase
 from repro.core.plans import (
@@ -160,7 +160,9 @@ class TestClassification:
         delta.record([new_fact], [])
         mode, positions = classify(rule_plan(rule).signature, delta)
         assert mode == SEED
-        seeded = bindings_set(match_rule_seeded(rule, base, delta, positions))
+        seeded = bindings_set(
+            match_rule_seeded_compiled(rule, base, delta, positions)
+        )
         assert len(seeded) == 1
         full = bindings_set(match_rule(rule, base))
         assert seeded < full and len(full) == 4

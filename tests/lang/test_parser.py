@@ -187,3 +187,33 @@ class TestBodiesAndBases:
             parse_program("r: ins[E].t -> 1 <= E.isa ->.")
         assert excinfo.value.line == 1
         assert excinfo.value.column > 20
+
+
+class TestNestingBound:
+    """Hostile nesting fails with a ParseError, not a RecursionError."""
+
+    def test_limit_is_reachable_and_exceeding_it_is_a_parse_error(self):
+        from repro.lang.parser import MAX_NESTING
+
+        vid = "mod(" * MAX_NESTING + "henry" + ")" * MAX_NESTING
+        assert isinstance(parse_term(vid), VersionId)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_term("mod(" + vid + ")")
+        expr = "(" * MAX_NESTING + "S" + ")" * MAX_NESTING
+        assert parse_body(f"T = {expr}")
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_body(f"T = ({expr})")
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_body("T = " + "-" * (MAX_NESTING + 1) + "S")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "r: ins[henry].x -> T <= T = " + "(" * 3000 + "1" + ")" * 3000 + ".",
+            "r: ins[" + "mod(" * 3000 + "henry" + ")" * 3000 + "].x -> 1.",
+        ],
+        ids=["parentheses", "version-functors"],
+    )
+    def test_deep_programs_raise_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_program(text)
